@@ -47,7 +47,8 @@ class ABMChannel:
         The rank's :class:`~repro.simmpi.api.Comm`.
     serve:
         ``serve(requester_rank, items) -> replies`` called once per
-        incoming batch; must return one reply per item.
+        incoming batch; must return one reply per item (any sized
+        sequence; see :func:`~repro.simmpi.patterns.wire_nbytes`).
     """
 
     def __init__(self, comm: Comm, serve: ServeFn):
@@ -93,7 +94,12 @@ class ABMChannel:
             else:
                 replies = []
             reply_batches.append(replies)
-        answered = yield self.comm.alltoall(reply_batches)
+        # Same size as the payload_nbytes walk of the batch list, but
+        # batches that size themselves (cell rows) are not walked.
+        answered = yield self.comm.alltoall(
+            reply_batches,
+            nbytes=sum(mpi_patterns.wire_nbytes(b) + 8 for b in reply_batches),
+        )
         self.rounds += 1
         return list(answered)
 

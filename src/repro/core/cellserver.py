@@ -14,6 +14,11 @@ from other processors using the global key name space"; the control
 plane (batching, deferral) lives in :mod:`repro.core.abm` and
 :mod:`repro.core.parallel`.
 
+:meth:`CellServer.rows` builds the records of many keys at once as
+:class:`CellRows`, the struct-of-arrays form the parallel treecode keeps
+its cell table in and sends over the wire (bit-identical to
+:meth:`CellServer.record`, which stays as the reference).
+
 Also here: :func:`cover_interval`, the minimal aligned-cell cover of a
 key interval, which yields each processor's **branch cells** (the
 coarsest cells fully owned by one processor), and
@@ -29,10 +34,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .keys import KEY_BITS, MAX_LEVEL, BoundingBox, cell_center_and_size, key_level
+from .keys import KEY_BITS, MAX_LEVEL, BoundingBox, _undilate3, cell_center_and_size, key_level
 
 __all__ = [
     "CellRecord",
+    "CellRows",
     "CellServer",
     "content_fingerprint",
     "cover_interval",
@@ -71,12 +77,21 @@ def content_fingerprint(chunks, digest_size: int = 16) -> bytes:
     return h.digest()
 
 
+def _interval_starts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(level, body, lo)`` of ``uint64`` cell keys: ``lo`` is the first
+    particle key of each cell, as in :func:`key_interval`."""
+    level = np.asarray(key_level(keys), dtype=np.int64)
+    body = keys ^ (np.uint64(1) << (3 * level).astype(np.uint64))
+    lo = (body << (3 * (MAX_LEVEL - level)).astype(np.uint64)) | np.uint64(_PLACEHOLDER)
+    return level, body, lo
+
+
 @lru_cache(maxsize=1 << 20)
 def key_interval(key: int) -> tuple[int, int]:
     """Particle-key interval [lo, hi) covered by a cell key.
 
-    Cached: every sink group's walk re-derives intervals for the same
-    shared top-of-tree keys, so this sits on the traversal hot path.
+    Cached: the parallel traversal asks it for the owner of every
+    requested key, round after round.
     """
     level = key_level(key)
     width = 3 * (MAX_LEVEL - level)
@@ -144,6 +159,150 @@ class CellRecord:
     # Leaf payload (filled when served with particles).
     positions: np.ndarray | None = None
     masses: np.ndarray | None = None
+
+
+#: Set bits of every ``uint8`` child-occupancy mask.
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+_OCTANTS = np.arange(8, dtype=np.uint64)
+
+
+def _mask_children(keys: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, child key)`` for every set bit of occupancy mask ``masks[i]``
+    of cell ``keys[i]``, cell by cell in octant order."""
+    bits = ((masks[:, None] >> _OCTANTS.astype(np.uint8)) & 1).astype(bool)
+    which, octant = np.nonzero(bits)
+    return which, (keys[which] << np.uint64(3)) | octant.astype(np.uint64)
+
+
+def _dot_rows(d: np.ndarray) -> np.ndarray:
+    """Row-wise ``d @ d`` with the exact rounding of ``np.linalg.norm``
+    on one row (BLAS ``dot``), which an ``einsum`` does not match."""
+    return np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]
+
+
+@dataclass
+class CellRows:
+    """Struct-of-arrays cell records: entry ``i`` of every column is one cell.
+
+    The array-native twin of :class:`CellRecord`.  Child keys are held
+    as an occupancy mask (bit ``o`` set means child ``(key << 3) | o``
+    is non-empty), and the particles a row carries as the slice
+    ``start[i]:stop[i]`` of ``positions``/``masses`` (empty for internal
+    cells and for leaves sent without particles).
+
+    ``nbytes`` is the wire size, in closed form: the same number the
+    recursive :func:`~repro.simmpi.api.payload_nbytes` walk gives for a
+    list of per-record tuples ``(key, count, mass, com, quad, bmax,
+    is_leaf, children, positions, masses)`` — 200 bytes per row plus 16
+    per child key and 32 per carried particle.
+
+    >>> rows = CellRows.empty()
+    >>> len(rows), rows.nbytes
+    (0, 0)
+    """
+
+    key: np.ndarray  # (n,) uint64
+    count: np.ndarray  # (n,) int64
+    mass: np.ndarray  # (n,)
+    com: np.ndarray  # (n, 3)
+    quad: np.ndarray  # (n, 6) packed traceless
+    bmax: np.ndarray  # (n,)
+    is_leaf: np.ndarray  # (n,) bool
+    mask: np.ndarray  # (n,) uint8 child occupancy
+    start: np.ndarray  # (n,) int64 particle slice into positions/masses
+    stop: np.ndarray  # (n,) int64
+    positions: np.ndarray  # (m, 3)
+    masses: np.ndarray  # (m,)
+
+    _COLUMNS = ("key", "count", "mass", "com", "quad", "bmax", "is_leaf", "mask",
+                "start", "stop")
+
+    @classmethod
+    def empty(cls) -> "CellRows":
+        return cls(
+            np.empty(0, np.uint64), np.empty(0, np.int64), np.empty(0), np.empty((0, 3)),
+            np.empty((0, 6)), np.empty(0), np.empty(0, bool), np.empty(0, np.uint8),
+            np.empty(0, np.int64), np.empty(0, np.int64),
+            np.empty((0, 3)), np.empty(0),
+        )
+
+    def __len__(self) -> int:
+        return self.key.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        carried = int((self.stop - self.start).sum())
+        return 200 * len(self) + 16 * int(_POPCOUNT8[self.mask].sum()) + 32 * carried
+
+    def select(self, idx) -> "CellRows":
+        """Rows ``idx``, still slicing the same particle arrays."""
+        return CellRows(**{c: getattr(self, c)[idx] for c in self._COLUMNS},
+                        positions=self.positions, masses=self.masses)
+
+    def take(self, idx) -> "CellRows":
+        """Rows ``idx`` as a self-contained batch: their particles are
+        copied, packed in row order."""
+        out = self.select(np.asarray(idx, dtype=np.int64))
+        lengths = out.stop - out.start
+        stop = np.cumsum(lengths)
+        src = np.arange(int(stop[-1]) if stop.size else 0, dtype=np.int64)
+        src += np.repeat(out.start - (stop - lengths), lengths)
+        out.start, out.stop = stop - lengths, stop
+        out.positions, out.masses = self.positions[src], self.masses[src]
+        return out
+
+    @classmethod
+    def concat(cls, parts: list["CellRows"]) -> "CellRows":
+        """Rows of ``parts`` in order; particle slices are re-based onto
+        the concatenated particle arrays."""
+        if not parts:
+            return cls.empty()
+        shift = np.cumsum([0] + [p.positions.shape[0] for p in parts[:-1]])
+        cols = {c: np.concatenate([getattr(p, c) for p in parts]) for c in cls._COLUMNS}
+        base = np.repeat(shift, [len(p) for p in parts])
+        cols["start"] = cols["start"] + base
+        cols["stop"] = cols["stop"] + base
+        return cls(**cols, positions=np.concatenate([p.positions for p in parts]),
+                   masses=np.concatenate([p.masses for p in parts]))
+
+    def record(self, i: int) -> CellRecord:
+        """Row ``i`` as a :class:`CellRecord`."""
+        key = int(self.key[i])
+        children = tuple((key << 3) | o for o in range(8) if int(self.mask[i]) >> o & 1)
+        positions = masses = None
+        if self.stop[i] > self.start[i]:
+            positions = self.positions[self.start[i]:self.stop[i]]
+            masses = self.masses[self.start[i]:self.stop[i]]
+        return CellRecord(key, int(self.count[i]), float(self.mass[i]), self.com[i].copy(),
+                          self.quad[i].copy(), float(self.bmax[i]), bool(self.is_leaf[i]),
+                          children, positions, masses)
+
+    @classmethod
+    def from_records(cls, records: list[CellRecord]) -> "CellRows":
+        """Column form of a record list (particle payloads included)."""
+        if not records:
+            return cls.empty()
+        mask = np.zeros(len(records), dtype=np.uint8)
+        for i, r in enumerate(records):
+            for ck in r.children:
+                mask[i] |= 1 << (ck & 7)
+        lengths = np.array([0 if r.positions is None else len(r.positions) for r in records],
+                           dtype=np.int64)
+        stop = np.cumsum(lengths)
+        carried = [r for r in records if r.positions is not None]
+        return cls(
+            key=np.array([r.key for r in records], dtype=np.uint64),
+            count=np.array([r.count for r in records], dtype=np.int64),
+            mass=np.array([r.mass for r in records], dtype=np.float64),
+            com=np.array([r.com for r in records], dtype=np.float64),
+            quad=np.array([r.quad for r in records], dtype=np.float64),
+            bmax=np.array([r.bmax for r in records], dtype=np.float64),
+            is_leaf=np.array([r.is_leaf for r in records], dtype=bool),
+            mask=mask, start=stop - lengths, stop=stop,
+            positions=(np.concatenate([r.positions for r in carried]) if carried
+                       else np.empty((0, 3))),
+            masses=np.concatenate([r.masses for r in carried]) if carried else np.empty(0),
+        )
 
 
 def combine_records(key: int, children: list[CellRecord]) -> CellRecord:
@@ -227,10 +386,6 @@ class CellServer:
         second[:, 5] = self.masses * p[:, 1] * p[:, 2]
         self._cs = np.zeros((n + 1, 6))
         np.cumsum(second, axis=0, out=self._cs[1:])
-        # Default-variant record memo: records are immutable once built
-        # and a server's particle data never changes, so every repeat
-        # ask (local walks, remote serving, prefetch) shares one record.
-        self._record_memo: dict[int, CellRecord] = {}
 
     @property
     def n_particles(self) -> int:
@@ -273,19 +428,11 @@ class CellServer:
         ``with_particles`` defaults to "yes if leaf" (what a remote
         requester needs); pass False to suppress the payload.
         """
-        default = with_particles is None
-        if default:
-            memo = self._record_memo.get(key)
-            if memo is not None:
-                return memo
         s, e = self.run_of(key)
         count = e - s
         level = key_level(key)
         if count == 0:
-            rec = CellRecord(key, 0, 0.0, np.zeros(3), np.zeros(6), 0.0, True)
-            if default:
-                self._record_memo[key] = rec
-            return rec
+            return CellRecord(key, 0, 0.0, np.zeros(3), np.zeros(6), 0.0, True)
         mass = float(self._cm[e] - self._cm[s])
         mx = self._cmx[e] - self._cmx[s]
         raw2 = self._cs[e] - self._cs[s]
@@ -318,9 +465,91 @@ class CellServer:
         if with_particles and is_leaf:
             rec.positions = self.positions[s:e].copy()
             rec.masses = self.masses[s:e].copy()
-        if default:
-            self._record_memo[key] = rec
         return rec
+
+    def _runs(self, lo: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = np.searchsorted(self.keys, lo, side="left").astype(np.int64)
+        e = np.searchsorted(self.keys, last, side="right").astype(np.int64)
+        return s, e
+
+    def _local_rows(self, keys) -> CellRows:
+        """:meth:`record` for many keys at once, bit for bit.
+
+        Returned rows slice the server's own particle arrays: a leaf's
+        ``start:stop`` is its local particle run.
+        """
+        keys = np.asarray(keys, dtype=np.uint64).reshape(-1)
+        n = keys.shape[0]
+        level, body, lo = _interval_starts(keys)
+        span = np.uint64(1) << (3 * (MAX_LEVEL - level)).astype(np.uint64)  # <= 2**63
+        s, e = self._runs(lo, lo + (span - np.uint64(1)))
+        count = e - s
+        full = count > 0
+        mass = self._cm[e] - self._cm[s]
+        com = np.zeros((n, 3))
+        quad = np.zeros((n, 6))
+        bmax = np.zeros(n)
+        if full.any():
+            f = np.flatnonzero(full)
+            fs, fe, m = s[f], e[f], mass[f]
+            mx = self._cmx[fe] - self._cmx[fs]
+            raw2 = self._cs[fe] - self._cs[fs]
+            c = self.positions[fs]
+            pos_mass = m > 0
+            c[pos_mass] = mx[pos_mass] / m[pos_mass, None]
+            q = np.empty((f.size, 6))
+            for j, (a, b) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+                q[:, j] = raw2[:, j] - m * c[:, a] * c[:, b]
+            trace = q[:, 0] + q[:, 1] + q[:, 2]
+            q[:, :3] = 3.0 * q[:, :3] - trace[:, None]
+            q[:, 3:] *= 3.0
+            # Cell geometry exactly as keys.cell_center_and_size.
+            lvl = level[f]
+            shift = (KEY_BITS - lvl).astype(np.uint64)
+            fbody = body[f] << (3 * shift)
+            ijk = np.stack([_undilate3(fbody >> np.uint64(a)) >> shift for a in range(3)], axis=1)
+            size = self.box.size / (np.uint64(1) << lvl.astype(np.uint64)).astype(np.float64)
+            center = self.box.corner + (ijk.astype(np.float64) + 0.5) * size[:, None]
+            bmax[f] = np.sqrt(3.0) / 2.0 * size + np.sqrt(_dot_rows(c - center))
+            com[f] = c
+            quad[f] = q
+        is_leaf = (count <= self.bucket_size) | (level >= MAX_LEVEL)
+        mask = np.zeros(n, dtype=np.uint8)
+        inner = np.flatnonzero(~is_leaf)
+        if inner.size:
+            step = span[inner] >> np.uint64(3)
+            child_lo = lo[inner, None] + step[:, None] * _OCTANTS
+            cs, ce = self._runs(child_lo, child_lo + (step[:, None] - np.uint64(1)))
+            mask[inner] = ((ce > cs) << _OCTANTS.astype(np.int64)).sum(axis=1).astype(np.uint8)
+        # Internal cells carry no particles: their slice is empty.
+        return CellRows(keys, count, mass, com, quad, bmax, is_leaf, mask, s,
+                        np.where(is_leaf, e, s), self.positions, self.masses)
+
+    def rows(self, keys, *, with_particles: bool = True) -> CellRows:
+        """:meth:`record` of every key in ``keys`` as one self-contained
+        :class:`CellRows` batch (leaf particles included unless
+        ``with_particles`` is False) — the reply a remote requester gets.
+        """
+        rows = self._local_rows(keys)
+        if not with_particles:
+            rows.stop = rows.start
+        return rows.take(np.arange(len(rows)))
+
+    def subtree_rows(self, branch_keys: list[int]) -> CellRows:
+        """Every non-empty cell at or below the given branch cells, level
+        by level, as rows slicing this server's particle arrays."""
+        parts = []
+        level = np.asarray(branch_keys, dtype=np.uint64)
+        while level.size:
+            rows = self._local_rows(level)
+            rows = rows.select(rows.count > 0)
+            parts.append(rows)
+            level = _mask_children(rows.key[~rows.is_leaf], rows.mask[~rows.is_leaf])[1]
+        if not parts:
+            return self._local_rows([])
+        return CellRows(**{c: np.concatenate([getattr(p, c) for p in parts])
+                           for c in CellRows._COLUMNS},
+                        positions=self.positions, masses=self.masses)
 
     def leaf_groups(self, branch_keys: list[int]) -> list[tuple[int, int, int]]:
         """Virtual-tree leaves under the given branch cells.

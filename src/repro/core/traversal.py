@@ -224,7 +224,7 @@ def evaluate_interaction_lists(
     observer=NULL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate batched interaction lists; returns (acc, pot) tree-order."""
-    if eps < 0:
+    if not eps >= 0:  # also rejects NaN
         raise ValueError("softening must be non-negative")
     if pair_chunk < 1:
         raise ValueError("pair_chunk must be positive")
@@ -310,7 +310,7 @@ def compute_forces(
     """
     if tree.mass is None:
         raise ValueError("tree has no multipoles; build with with_multipoles=True")
-    if eps < 0:
+    if not eps >= 0:  # also rejects NaN
         raise ValueError("softening must be non-negative")
     kb = get_backend(backend)
     with observer.span("gravity.compute_forces", cat="gravity", backend=kb.name):

@@ -49,6 +49,7 @@ __all__ = [
     "binomial_bcast",
     "pairwise_alltoall",
     "batched_request_reply",
+    "wire_nbytes",
     "tree_gather",
     "tree_reduce",
     "tree_bcast",
@@ -135,6 +136,20 @@ def binomial_bcast(comm: Comm, payload: Any, root: int = 0, tag: int = 2_000) ->
     return data
 
 
+def wire_nbytes(payload: Any) -> int:
+    """Wire size of a payload: its own integer ``nbytes`` when it
+    declares one (a NumPy array, or a batch that sizes itself in closed
+    form such as :class:`~repro.core.cellserver.CellRows`), otherwise
+    the :func:`~repro.simmpi.api.payload_nbytes` walk.
+
+    >>> import numpy as np
+    >>> wire_nbytes(np.zeros(4)), wire_nbytes([1, 2])
+    (32, 32)
+    """
+    declared = getattr(payload, "nbytes", None)
+    return payload_nbytes(payload) if declared is None else int(declared)
+
+
 def batched_request_reply(
     comm: Comm,
     requests_by_peer: list[Any],
@@ -162,7 +177,8 @@ def batched_request_reply(
         operations.  In the sparse exchange only truthy batches travel.
     serve:
         ``serve(peer, batch) -> reply`` called once per peer after that
-        peer's request batch arrives.  It must not communicate.
+        peer's request batch arrives.  It must not communicate.  The
+        reply is sized by :func:`wire_nbytes`.
     overlap:
         Optional generator delegated to (``yield from``) after all
         sends/receives are posted and before any wait — its compute
@@ -233,7 +249,8 @@ def batched_request_reply(
 
     batches = yield comm.waitall(req_in)
     for p, batch in zip(senders, batches):
-        r = yield comm.isend(serve(p, batch), dest=p, tag=tag + 1)
+        reply = serve(p, batch)
+        r = yield comm.isend(reply, dest=p, tag=tag + 1, nbytes=wire_nbytes(reply))
         out.append(r)
 
     replies: list[Any] = [None] * size
@@ -292,24 +309,32 @@ def tree_gather(comm: Comm, payload: Any, root: int = 0,
     ``root``; the root returns the payloads **in absolute rank order**
     (the ``comm.gather`` contract), everyone else returns ``None``.
     """
+    gathered, _ = yield from _sized_tree_gather(comm, payload, root, tag, None)
+    return gathered
+
+
+def _sized_tree_gather(comm: Comm, payload: Any, root: int, tag: int,
+                       nbytes: int | None) -> Generator:
+    """:func:`tree_gather` that also returns the summed payload sizes
+    (at the root); ``nbytes`` is this rank's payload size if known."""
     size, rank = comm.size, comm.rank
     rel = (rank - root) % size
     blocks: dict[int, Any] = {rel: payload}
-    nbytes = payload_nbytes(payload)
+    nbytes = payload_nbytes(payload) if nbytes is None else int(nbytes)
     mask = 1
     while mask < size:
         if rel & mask:
             parent = ((rel ^ mask) + root) % size
             yield comm.send((blocks, nbytes), dest=parent, tag=tag,
                             nbytes=nbytes + _FRAME_NBYTES)
-            return None
+            return None, nbytes
         child = rel | mask
         if child < size:
             got, got_nb = yield comm.recv(source=(child + root) % size, tag=tag)
             blocks.update(got)
             nbytes += got_nb
         mask <<= 1
-    return [blocks[(r - root) % size] for r in range(size)]
+    return [blocks[(r - root) % size] for r in range(size)], nbytes
 
 
 def tree_reduce(comm: Comm, payload: Any, root: int = 0, op: Callable = SUM,
@@ -370,18 +395,20 @@ def tree_allreduce(comm: Comm, payload: Any, op: Callable = SUM,
 
 
 def tree_allgather(comm: Comm, payload: Any,
-                   tag: int = TREE_ALLGATHER_TAG) -> Generator:
+                   tag: int = TREE_ALLGATHER_TAG, nbytes: int | None = None) -> Generator:
     """Allgather with O(log P) depth; matches ``comm.allgather``.
 
     Power-of-two groups use recursive doubling (each round exchanges
     the accumulated block dictionary with the rank ``2^k`` away);
     other sizes gather to rank 0 and broadcast.  Every rank returns a
-    *fresh* list in rank order, like the flat collective.
+    *fresh* list in rank order, like the flat collective.  ``nbytes``
+    is this rank's payload size when the caller knows it; the default
+    is the :func:`~repro.simmpi.api.payload_nbytes` walk.
     """
     size, rank = comm.size, comm.rank
     if size & (size - 1) == 0:
         blocks: dict[int, Any] = {rank: payload}
-        nb = payload_nbytes(payload)
+        nb = payload_nbytes(payload) if nbytes is None else int(nbytes)
         mask, step = 1, 0
         while mask < size:
             partner = rank ^ mask
@@ -396,8 +423,11 @@ def tree_allgather(comm: Comm, payload: Any,
             mask <<= 1
             step += 1
         return [blocks[r] for r in range(size)]
-    gathered = yield from tree_gather(comm, payload, root=0, tag=tag)
-    everything = yield from tree_bcast(comm, gathered, root=0, tag=tag + 64)
+    gathered, nb = yield from _sized_tree_gather(comm, payload, 0, tag, nbytes)
+    # The gathered list's size is its blocks' sizes plus list framing,
+    # exactly what payload_nbytes would sum up walking it again.
+    everything = yield from tree_bcast(comm, gathered, root=0, tag=tag + 64,
+                                       nbytes=nb + 8 * size if rank == 0 else None)
     return list(everything)
 
 
@@ -517,13 +547,14 @@ def allgather(comm: Comm, payload: Any, *, nbytes: int | None = None,
               algorithm: str = "auto", threshold: int | None = None) -> Generator:
     """Size-selected allgather (fresh rank-ordered list on every rank).
 
-    ``nbytes`` overrides the flat primitive's wire-size walk; the tree
-    path sizes its own protocol messages incrementally.
+    ``nbytes`` (this rank's payload size) overrides the wire-size walk
+    on both paths; the tree path sizes its protocol messages from it
+    incrementally.
     """
     if _choose(algorithm, comm.size, threshold) == "flat":
         result = yield comm.allgather(payload, nbytes=nbytes)
     else:
-        result = yield from tree_allgather(comm, payload)
+        result = yield from tree_allgather(comm, payload, nbytes=nbytes)
     return result
 
 

@@ -157,6 +157,37 @@ class TestParallelCorrectness:
         with pytest.raises(ValueError):
             ParallelConfig(kernel_efficiency=0.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"eps": float("nan")},
+        {"eps": float("inf")},
+        {"theta": 0.0},
+        {"theta": 1.5},
+        {"theta": float("nan")},
+        {"max_rounds": 0},
+    ], ids=["eps-nan", "eps-inf", "theta-0", "theta-1.5", "theta-nan", "max-rounds-0"])
+    def test_config_fails_fast(self, bad):
+        # Rejected at construction, before any rank runs: a NaN eps
+        # used to return all-NaN accelerations without an error.
+        with pytest.raises(ValueError):
+            ParallelConfig(**bad)
+
+    def test_config_boundaries_accepted(self):
+        ParallelConfig(theta=1.0, eps=0.0, max_rounds=1)
+
+    @pytest.mark.parametrize("fn", ["compute_forces", "evaluate_interaction_lists"])
+    def test_serial_rejects_nan_softening(self, fn):
+        from repro.core import build_tree
+        from repro.core import traversal
+
+        pos, m = _cloud(50, seed=3)
+        tree = build_tree(pos, m)
+        with pytest.raises(ValueError):
+            if fn == "compute_forces":
+                traversal.compute_forces(tree, eps=float("nan"))
+            else:
+                lists = traversal.build_interaction_lists(tree)
+                traversal.evaluate_interaction_lists(tree, lists, eps=float("nan"))
+
 
 class TestParallelPerformance:
     def test_virtual_time_positive_with_cost_model(self):
